@@ -112,6 +112,22 @@ inline void AppendCsv(const std::string& path, AppKind kind, const char* protoco
   std::fclose(f);
 }
 
+// The suffix a row prints after its runs: "" when all verified, else
+// "  (UNVERIFIED)". Failures are remembered so main() can print every row
+// first and then exit nonzero through ExitStatus().
+inline int& UnverifiedRows() {
+  static int rows = 0;
+  return rows;
+}
+inline const char* VerifiedTag(bool verified) {
+  if (verified) {
+    return "";
+  }
+  ++UnverifiedRows();
+  return "  (UNVERIFIED)";
+}
+inline int ExitStatus() { return UnverifiedRows() == 0 ? 0 : 1; }
+
 // Formatting helpers (rows like the paper's tables).
 inline void PrintRule(int width) {
   for (int i = 0; i < width; ++i) {

@@ -35,13 +35,11 @@ int RunSweep(const bench::BenchOptions& opt, const std::string& json_path) {
   bench::PrintRule(64);
 
   std::string rows;
-  bool all_verified = true;
   for (const AppKind kind : opt.apps) {
     const AppRunResult payload = RunOnce(kind, /*charge_run_headers=*/false,
                                          opt.size_class);
     const AppRunResult framed = RunOnce(kind, /*charge_run_headers=*/true,
                                         opt.size_class);
-    all_verified = all_verified && payload.verified && framed.verified;
     const double payload_mb = bench::Mega(payload.report.total.Get(Counter::kDataBytes));
     const double framed_mb = bench::Mega(framed.report.total.Get(Counter::kDataBytes));
     const double delta_pct =
@@ -50,7 +48,7 @@ int RunSweep(const bench::BenchOptions& opt, const std::string& json_path) {
         payload.report.total.Get(Counter::kDiffRunsEmitted));
     std::printf("%-8s %14.3f %14.3f %9.2f%% %12llu%s\n", AppName(kind), payload_mb,
                 framed_mb, delta_pct, runs,
-                (payload.verified && framed.verified) ? "" : "  (UNVERIFIED)");
+                bench::VerifiedTag(payload.verified && framed.verified));
     char row[256];
     std::snprintf(row, sizeof(row),
                   "    {\"app\": \"%s\", \"payload_mb\": %.4f, \"framed_mb\": %.4f, "
@@ -76,10 +74,10 @@ int RunSweep(const bench::BenchOptions& opt, const std::string& json_path) {
   std::fprintf(f,
                "{\n  \"protocol\": \"2L\",\n  \"procs\": 32,\n  \"ppn\": 4,\n"
                "  \"all_verified\": %s,\n  \"sweep\": [\n%s\n  ]\n}\n",
-               all_verified ? "true" : "false", rows.c_str());
+               bench::ExitStatus() == 0 ? "true" : "false", rows.c_str());
   std::fclose(f);
   std::printf("wrote %s\n", json_path.c_str());
-  return all_verified ? 0 : 1;
+  return bench::ExitStatus();
 }
 
 }  // namespace

@@ -42,7 +42,7 @@ void Run(const bench::BenchOptions& opt) {
         const double pct = comp_total > 0 ? bar * comp[c] / comp_total : 0.0;
         std::printf(c == 3 ? " %11.1f" : " %9.1f", pct);
       }
-      std::printf(" | %7.1f%%%s\n", bar, r.verified ? "" : "  (UNVERIFIED)");
+      std::printf(" | %7.1f%%%s\n", bar, bench::VerifiedTag(r.verified));
     }
   }
   std::printf(
@@ -56,5 +56,5 @@ void Run(const bench::BenchOptions& opt) {
 int main(int argc, char** argv) {
   const auto opt = cashmere::bench::BenchOptions::Parse(argc, argv);
   cashmere::Run(opt);
-  return 0;
+  return cashmere::bench::ExitStatus();
 }

@@ -35,7 +35,7 @@ void Run(const bench::BenchOptions& opt) {
                 lock_free.report.ExecTimeSec(), locked.report.ExecTimeSec(), gain,
                 bench::Kilo(lock_free.report.total.Get(Counter::kDirectoryUpdates)),
                 bench::Kilo(lock_free.report.total.Get(Counter::kWriteNotices)),
-                (lock_free.verified && locked.verified) ? "" : "  (UNVERIFIED)");
+                bench::VerifiedTag(lock_free.verified && locked.verified));
   }
   std::printf(
       "\nPaper's finding reproduced when: the gain is largest for the applications\n"
@@ -49,5 +49,5 @@ void Run(const bench::BenchOptions& opt) {
 int main(int argc, char** argv) {
   const auto opt = cashmere::bench::BenchOptions::Parse(argc, argv);
   cashmere::Run(opt);
-  return 0;
+  return cashmere::bench::ExitStatus();
 }

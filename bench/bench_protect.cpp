@@ -255,7 +255,7 @@ int RunBench(const bench::BenchOptions& opt, const std::string& json_path) {
       static_cast<unsigned long long>(sor_u.report.total.Get(Counter::kMprotectCalls));
   std::printf("\nSOR 32:4 context: %llu mprotect calls batched, %llu per-page%s\n",
               sor_calls_b, sor_calls_u,
-              (sor_b.verified && sor_u.verified) ? "" : "  (UNVERIFIED)");
+              bench::VerifiedTag(sor_b.verified && sor_u.verified));
 
   const bool all_verified = batched.verified && unbatched.verified && batched.trace_complete &&
                             unbatched.trace_complete && sor_b.verified && sor_u.verified;

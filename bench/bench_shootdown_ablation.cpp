@@ -47,9 +47,8 @@ void Run(const bench::BenchOptions& opt) {
                 static_cast<unsigned long long>(
                     shoot_poll.report.total.Get(Counter::kShootdowns)),
                 ratio,
-                (two_level.verified && shoot_poll.verified && shoot_intr.verified)
-                    ? ""
-                    : "  (UNVERIFIED)");
+                bench::VerifiedTag(two_level.verified && shoot_poll.verified &&
+                                   shoot_intr.verified));
   }
   std::printf(
       "\nPaper's finding reproduced when: shootdown counts are nonzero only for the\n"
@@ -64,5 +63,5 @@ void Run(const bench::BenchOptions& opt) {
 int main(int argc, char** argv) {
   const auto opt = cashmere::bench::BenchOptions::Parse(argc, argv);
   cashmere::Run(opt);
-  return 0;
+  return cashmere::bench::ExitStatus();
 }

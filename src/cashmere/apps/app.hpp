@@ -129,6 +129,8 @@ void SequentialBaseline(AppKind kind, int size_class, double* host_seconds,
 
 // The cost-model scale factor that restores the paper's compute-to-
 // communication ratio for this app at this (scaled-down) size; cached.
+// Its data volume comes from one 2L Run at 32:4; a checksum mismatch there
+// is reported on stderr ("probe unverified") and the scale kept.
 // Config::cost.scale == 0 in RunApp triggers this automatically.
 double AutoCostScale(AppKind kind, int size_class);
 

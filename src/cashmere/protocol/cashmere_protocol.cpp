@@ -232,15 +232,7 @@ void CashmereProtocol::HandleRequest(const Request& request) {
                   static_cast<std::uint32_t>(pl.excl_proc), 0);
       }
       std::byte* working = WorkingPtr(ctx.unit(), page);
-      if (!UnitAtMaster(ctx.unit(), page)) {
-        // Flush the entire page to the home node (Section 2.4.1).
-        deps_.hub->Issue(
-            McOp::Stream(MasterPtr(page), working, kWordsPerPage, Traffic::kPageData));
-        pl.flush_ts.store(us.Tick(), std::memory_order_release);
-        ctx.stats().Add(Counter::kPageFlushes);
-        ctx.clock().Charge(ctx.stats(), TimeCategory::kProtocol,
-                           cfg_.costs.PageTransferNs(false, cfg_.two_level()));
-      }
+      const bool at_master = UnitAtMaster(ctx.unit(), page);
       // The exclusive holder processor is downgraded so its future writes
       // fault; other local writers keep their mappings but are noted in
       // their no-longer-exclusive lists so they flush (and send write
@@ -248,43 +240,71 @@ void CashmereProtocol::HandleRequest(const Request& request) {
       // needed — writes land in the master directly — but the NLE entries
       // still drive write-notice generation.
       const int holder_li = pl.excl_proc - cfg_.FirstProcOfUnit(ctx.unit());
+      if (holder_li >= 0 && holder_li < cfg_.procs_per_unit() &&
+          pl.PermOfLocal(holder_li) == Perm::kReadWrite) {
+        ProtectLocal(ctx, pl, ctx.unit(), holder_li, page, Perm::kRead);
+      }
+      // The holder's hardware downgrade must land before the image below
+      // is taken. The holder is on no dirty or NLE list, so a word it wrote
+      // after the image would reach the home only with some other writer's
+      // flush, after its own release had already published it.
+      CommitPermBatch(ctx);
+      // Other writers go on the NLE lists before the image is taken. A
+      // writer whose release takes its lists before this point began that
+      // release earlier, so all of its writes are in the image; every other
+      // writer finds the page in its list, and the diff it flushes carries
+      // whatever it wrote after the image.
       bool other_writers = false;
       for (int li = 0; li < cfg_.procs_per_unit(); ++li) {
         if (li != holder_li && pl.PermOfLocal(li) == Perm::kReadWrite) {
           other_writers = true;
+          us.NleList(li).Add(page);
+          pl.dirty_mask |= Bit(li);
         }
       }
-      if (other_writers) {
-        if (!pl.twin_valid && !UnitAtMaster(ctx.unit(), page)) {
-          CopyPage(TwinPtr(ctx.unit(), page), working);
-          InitTwinMap(ctx, pl, ctx.unit(), page);
-          SetTwinTraced(pl, page, true);
+      // The image the home and the requester receive. Other writers keep
+      // writing while it is copied, so it is taken once, into a fresh twin:
+      // a word they write after the snapshot differs from the twin and
+      // reaches the home with their next flush. Copying the live frame
+      // twice (to the home, then to the twin) would lose a word written
+      // between the two copies: in the twin, so never diffed, and not home.
+      const std::byte* image = working;
+      if (!at_master) {
+        // Stamped before the image is taken, not after it reaches the home:
+        // FlushPage's skip rule reads a flush stamped after a release began
+        // as covering that release's writes, which an image taken earlier
+        // may lack.
+        pl.flush_ts.store(us.Tick(), std::memory_order_release);
+      }
+      if (other_writers && !at_master) {
+        const bool created = !pl.twin_valid;
+        CopyPage(TwinPtr(ctx.unit(), page), working);
+        InitTwinMap(ctx, pl, ctx.unit(), page);
+        SetTwinTraced(pl, page, true);
+        image = TwinPtr(ctx.unit(), page);
+        if (created) {
           ctx.stats().Add(Counter::kTwinCreations);
           if (!IsWriteDouble()) {
             ctx.clock().Charge(ctx.stats(), TimeCategory::kProtocol,
                                CostModel::UsToNs(cfg_.costs.twin_us));
           }
         }
-        for (int li = 0; li < cfg_.procs_per_unit(); ++li) {
-          if (li != holder_li && pl.PermOfLocal(li) == Perm::kReadWrite) {
-            us.NleList(li).Add(page);
-            pl.dirty_mask |= Bit(li);
-          }
-        }
       }
-      if (holder_li >= 0 && holder_li < cfg_.procs_per_unit() &&
-          pl.PermOfLocal(holder_li) == Perm::kReadWrite) {
-        ProtectLocal(ctx, pl, ctx.unit(), holder_li, page, Perm::kRead);
+      if (!at_master) {
+        // Flush the entire page to the home node (Section 2.4.1).
+        deps_.hub->Issue(
+            McOp::Stream(MasterPtr(page), image, kWordsPerPage, Traffic::kPageData));
+        ctx.stats().Add(Counter::kPageFlushes);
+        ctx.clock().Charge(ctx.stats(), TimeCategory::kProtocol,
+                           cfg_.costs.PageTransferNs(false, cfg_.two_level()));
       }
+      // Only now may the directory stop naming us exclusive: a unit that
+      // then finds no holder fetches from the home, which must be current.
       RefreshLoosestPerm(ctx, pl, page);
-      // The holder's hardware downgrade must land before the page is
-      // shipped: a deferred mprotect would leave a window where the holder
-      // keeps writing after the requester copied the "latest" contents.
-      CommitPermBatch(ctx);
-      // Piggyback the latest copy of the page to the requester.
+      // Piggyback the same image to the requester.
       ReplySlot& slot = deps_.msg->SlotOf(request.from_proc);
       deps_.hub->Issue(
-          McOp::Stream(slot.data, working, kWordsPerPage, Traffic::kPageData));
+          McOp::Stream(slot.data, image, kWordsPerPage, Traffic::kPageData));
       deps_.msg->Complete(request.from_proc, request.seq, kReplyHasPage, ctx.clock().now());
       return;
     }
@@ -382,12 +402,60 @@ void CashmereProtocol::ApplyIncoming(Context& ctx, PageLocal& pl, PageId page,
   }
 }
 
-void CashmereProtocol::BreakRemoteExclusive(Context& ctx, PageLocal& pl, PageId page,
+std::uint64_t CashmereProtocol::StampFetchStart(Context& ctx, PageLocal& pl) {
+  while (true) {
+    // Async mode: this unit may have published diffs for the page that its
+    // cache agent has not applied to the master copy yet. Reading the
+    // master before our own writes land would lose them — same-unit
+    // visibility is program order, not covered by the write-notice/gate
+    // machinery — so wait for the agent first. Safe to spin here: the
+    // agent takes no page locks and this path holds none.
+    if (deps_.coh != nullptr) {
+      Backoff pending;
+      while (pl.pending_flush.load(std::memory_order_acquire) != 0) {
+        if (deps_.msg->HasPending(ctx.unit())) {
+          deps_.msg->Poll(ctx.unit());
+          pending.Reset();
+        } else {
+          pending.Pause();
+        }
+      }
+    }
+    // Stamp under the page lock, which every flush holds from its flush_ts
+    // stamp until its diff is in the master copy (sync) or published (async,
+    // pending_flush raised): a flush is then either complete before the
+    // stamp — and in the image — or stamped after it, which
+    // ImageMissesLocalFlush catches.
+    SpinLockGuard guard(pl.lock);
+    if (pl.pending_flush.load(std::memory_order_acquire) != 0) {
+      continue;  // a local release published since the wait above
+    }
+    const std::uint64_t ts = Unit(ctx.unit()).Tick();
+    // Our sharing-set entry (written before the fetch began) must be
+    // visible to any releaser before the home reads the master for us: a
+    // releaser writes the master, then reads the sharing set (both fenced),
+    // so it either notifies us or its diff is in our image.
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    return ts;
+  }
+}
+
+bool CashmereProtocol::ImageMissesLocalFlush(const PageLocal& pl,
+                                             std::uint64_t fetch_start_ts) const {
+  // A local flush stamped after the fetch began may have reached the master
+  // only after the home copied it for us. Its words then differ between the
+  // image (old) and the twin (flush-update wrote the new values there), so
+  // the two-way merge would take them for remote modifications and revert
+  // our own writes; without a twin the copy would overwrite them outright.
+  return pl.flush_ts.load(std::memory_order_acquire) > fetch_start_ts;
+}
+
+bool CashmereProtocol::BreakRemoteExclusive(Context& ctx, PageLocal& pl, PageId page,
                                             UnitId holder) {
   // The update timestamp must not postdate any data the reply can contain:
   // stamp it at request time, so a write notice distributed while the
   // request is in flight still forces a refetch (update_ts <= wn_ts).
-  const std::uint64_t fetch_start_ts = Unit(ctx.unit()).Tick();
+  const std::uint64_t fetch_start_ts = StampFetchStart(ctx, pl);
   Request request;
   request.kind = Request::Kind::kBreakExclusive;
   request.page = page;
@@ -411,6 +479,7 @@ void CashmereProtocol::BreakRemoteExclusive(Context& ctx, PageLocal& pl, PageId 
               static_cast<std::uint32_t>(Request::Kind::kBreakExclusive),
               (static_cast<std::uint64_t>(ctx.proc()) << 32) | seq);
   }
+  bool applied = false;
   if ((slot.flags & kReplyHasPage) != 0) {
     ctx.stats().Add(Counter::kPageTransfers);
     if (!UnitAtMaster(ctx.unit(), page)) {
@@ -418,9 +487,12 @@ void CashmereProtocol::BreakRemoteExclusive(Context& ctx, PageLocal& pl, PageId 
       // working-vs-twin must not interleave with the incoming merge's
       // working-then-twin writes, or it can push a stale word to the home.
       SpinLockGuard guard(pl.lock);
-      ApplyIncoming(ctx, pl, page, slot.data, /*piggyback=*/true);
-      pl.update_ts.store(fetch_start_ts, std::memory_order_release);
-      pl.ever_valid = true;
+      if (!ImageMissesLocalFlush(pl, fetch_start_ts)) {
+        ApplyIncoming(ctx, pl, page, slot.data, /*piggyback=*/true);
+        pl.update_ts.store(fetch_start_ts, std::memory_order_release);
+        pl.ever_valid = true;
+        applied = true;
+      }
     }
     // At the master copy the holder's break-time flush already updated our
     // frame; the piggybacked image is redundant.
@@ -428,30 +500,13 @@ void CashmereProtocol::BreakRemoteExclusive(Context& ctx, PageLocal& pl, PageId 
   // The holder's directory downgrade just changed the entry: drop any
   // cached image so subsequent holder queries refetch (sharded backend).
   deps_.dir->InvalidateCached(ctx.unit(), page);
+  return applied;
 }
 
 void CashmereProtocol::FetchPage(Context& ctx, PageLocal& pl, PageId page) {
   // Called with the page lock NOT held; fetch_in_progress is set so
   // concurrent local faults coalesce onto this fetch.
   const UnitId home = deps_.homes->HomeOfPage(page);
-
-  // Async mode: this unit may have published diffs for the page that its
-  // cache agent has not applied to the master copy yet. Reading the master
-  // before our own writes land would lose them — same-unit visibility is
-  // program order, not covered by the write-notice/gate machinery — so
-  // wait for the agent first. Safe to spin here: the agent takes no page
-  // locks and this path holds none.
-  if (deps_.coh != nullptr) {
-    Backoff pending;
-    while (pl.pending_flush.load(std::memory_order_acquire) != 0) {
-      if (deps_.msg->HasPending(ctx.unit())) {
-        deps_.msg->Poll(ctx.unit());
-        pending.Reset();
-      } else {
-        pending.Pause();
-      }
-    }
-  }
 
   // 2LS: before fetching, shoot down concurrent local writers and flush,
   // so the incoming image can simply overwrite the frame (Section 2.6).
@@ -467,11 +522,11 @@ void CashmereProtocol::FetchPage(Context& ctx, PageLocal& pl, PageId page) {
   // invisible (no write notices in exclusive mode), so re-read the entry.
   const UnitId holder = deps_.dir->ExclusiveHolderFresh(page, ctx.unit());
   if (holder >= 0 && holder != ctx.unit()) {
-    BreakRemoteExclusive(ctx, pl, page, holder);
+    const bool applied = BreakRemoteExclusive(ctx, pl, page, holder);
     if (UnitAtMaster(ctx.unit(), page)) {
       return;  // the holder's flush refreshed our (master) frame
     }
-    {
+    if (applied) {
       // ever_valid is lock-guarded (home relocation can write it from
       // another unit's processor); take the lock for the probe. The
       // timestamps are atomics, but reading them in the same critical
@@ -488,8 +543,14 @@ void CashmereProtocol::FetchPage(Context& ctx, PageLocal& pl, PageId page) {
     return;  // exclusivity already cleared; the master frame is current
   }
 
+  while (!FetchFromHome(ctx, pl, page, home)) {
+    // A local flush overlapped the fetch: the image may predate it.
+  }
+}
+
+bool CashmereProtocol::FetchFromHome(Context& ctx, PageLocal& pl, PageId page, UnitId home) {
   // As above: the image cannot contain data newer than the request time.
-  const std::uint64_t fetch_start_ts = Unit(ctx.unit()).Tick();
+  const std::uint64_t fetch_start_ts = StampFetchStart(ctx, pl);
   Request request;
   request.kind = Request::Kind::kPageFetch;
   request.page = page;
@@ -518,13 +579,15 @@ void CashmereProtocol::FetchPage(Context& ctx, PageLocal& pl, PageId page) {
               static_cast<std::uint32_t>(Request::Kind::kPageFetch),
               (static_cast<std::uint64_t>(ctx.proc()) << 32) | seq);
   }
-  {
-    // Serialize the merge against concurrent local flushes (see above).
-    SpinLockGuard guard(pl.lock);
-    ApplyIncoming(ctx, pl, page, slot.data, /*piggyback=*/false);
-    pl.update_ts.store(fetch_start_ts, std::memory_order_release);
-    pl.ever_valid = true;
+  // Serialize the merge against concurrent local flushes (see above).
+  SpinLockGuard guard(pl.lock);
+  if (ImageMissesLocalFlush(pl, fetch_start_ts)) {
+    return false;
   }
+  ApplyIncoming(ctx, pl, page, slot.data, /*piggyback=*/false);
+  pl.update_ts.store(fetch_start_ts, std::memory_order_release);
+  pl.ever_valid = true;
+  return true;
 }
 
 void CashmereProtocol::EnsureTwin(Context& ctx, PageLocal& pl, PageId page) {
@@ -730,7 +793,11 @@ void CashmereProtocol::EnterExclusiveOrShare(Context& ctx, PageLocal& pl, PageId
   if (pl.exclusive) {
     return;  // unit already exclusive; the new writer just joins
   }
-  if (!deps_.dir->AnyOtherSharer(page, ctx.unit())) {
+  // No claim while this unit's own published diffs for the page await
+  // their replay: a later break would flush the newer local copy to the
+  // home, and the replay would then overwrite it with the older words.
+  if (pl.pending_flush.load(std::memory_order_acquire) == 0 &&
+      !deps_.dir->AnyOtherSharer(page, ctx.unit())) {
     // Claim exclusive mode through the ordered directory broadcast: if two
     // units claim concurrently, the one ordered second sees the first and
     // withdraws (MC's total write ordering resolves the race).
@@ -761,6 +828,14 @@ void CashmereProtocol::EnterExclusiveOrShare(Context& ctx, PageLocal& pl, PageId
         conflict = true;
         break;
       }
+    }
+    // A unit that left the sharing set may have written the page first:
+    // its write notice can still sit undrained in our bins, and our copy
+    // then lacks its words. In exclusive mode no notice invalidates our
+    // copy, and breaking it ships the whole page home, so a claim now
+    // would write the stale words back over the newer ones.
+    if (!conflict && deps_.notices->NoticeInFlight(ctx.unit(), page)) {
+      conflict = true;
     }
     if (!conflict) {
       pl.exclusive = true;
@@ -848,9 +923,13 @@ void CashmereProtocol::OnFault(Context& ctx, PageId page, bool is_write) {
 // ---------------------------------------------------------------------------
 // Releases (Section 2.4.3)
 
-std::uint32_t CashmereProtocol::WriteNoticeTargets(Context& ctx, PageId page) {
+std::uint32_t CashmereProtocol::WriteNoticeTargets(UnitId releaser, PageId page) {
+  // The release's writes are in the master copy (replayed, or written there
+  // directly at the master); order them before the sharing-set reads
+  // (paired with the fence in StampFetchStart).
+  std::atomic_thread_fence(std::memory_order_seq_cst);
   UnitId sharers[kMaxProcs];
-  const int n = deps_.dir->Sharers(page, ctx.unit(), sharers);
+  const int n = deps_.dir->Sharers(page, releaser, sharers);
   std::uint32_t mask = 0;
   for (int i = 0; i < n; ++i) {
     const UnitId u = sharers[i];
@@ -863,7 +942,7 @@ std::uint32_t CashmereProtocol::WriteNoticeTargets(Context& ctx, PageId page) {
 }
 
 void CashmereProtocol::SendWriteNotices(Context& ctx, PageId page) {
-  const std::uint32_t targets = WriteNoticeTargets(ctx, page);
+  const std::uint32_t targets = WriteNoticeTargets(ctx.unit(), page);
   int sent = 0;
   for (int u = 0; u < cfg_.units(); ++u) {
     if ((targets & (1u << u)) == 0) {
@@ -895,8 +974,7 @@ void CashmereProtocol::PublishCoherenceRecord(Context& ctx, PageLocal& pl, PageI
     ctx.stats().Add(Counter::kPageFlushes);
     ctx.stats().Add(Counter::kFlushUpdates);
   }
-  const std::uint32_t targets = WriteNoticeTargets(ctx, page);
-  if (!has_diff && targets == 0) {
+  if (!has_diff && WriteNoticeTargets(ctx.unit(), page) == 0) {
     return;  // nothing to propagate: no record, no agent work
   }
   // The releaser pays only the local publish cost; the diff replay, the MC
@@ -917,7 +995,6 @@ void CashmereProtocol::PublishCoherenceRecord(Context& ctx, PageLocal& pl, PageI
         rec.hdr_bytes = static_cast<std::uint32_t>(
             cfg_.diff.charge_run_headers ? kDiffRunHeaderBytes : std::size_t{0});
         rec.bus_bytes = r.bus_bytes;
-        rec.wn_targets = targets;
         rec.has_diff = has_diff;
         rec.home_local = home_local;
         if (has_diff) {
@@ -939,6 +1016,7 @@ void CashmereProtocol::PublishCoherenceRecord(Context& ctx, PageLocal& pl, PageI
   // sequence lands in the publisher's own seen_seq so sync objects can
   // propagate the dependency to later acquirers.
   pl.pending_flush.fetch_add(1, std::memory_order_acq_rel);
+  pl.last_publish_seq = seq;
   ctx.seen_seq()[ctx.unit()] = seq;
   ctx.stats().Add(Counter::kCohLogPublishes);
   if (stalled) {
@@ -955,6 +1033,17 @@ void CashmereProtocol::FlushPage(Context& ctx, PageLocal& pl, PageId page,
   UnitState& us = Unit(ctx.unit());
   const int li = ctx.local_index();
   SpinLockGuard guard(pl.lock);
+
+  if (deps_.coh != nullptr) {
+    // Every record this unit published for the page so far may carry this
+    // processor's writes: a local flush that began after our release did
+    // (the skip rule below), and so may one published between our writes
+    // and this release. In sync mode such a flush is in the master copy
+    // already; here its replay is deferred, so our dependents must gate on
+    // it even when this release publishes nothing.
+    std::uint64_t& seen = ctx.seen_seq()[ctx.unit()];
+    seen = std::max(seen, pl.last_publish_seq);
+  }
 
   if (pl.exclusive) {
     // The page re-entered exclusive mode after the NLE notice; exclusive
@@ -996,9 +1085,9 @@ void CashmereProtocol::FlushPage(Context& ctx, PageLocal& pl, PageId page,
   pl.flush_ts.store(us.Tick(), std::memory_order_release);
 
   if (deps_.coh != nullptr && !IsShootdown() && !IsWriteDouble()) {
-    // Async release path: serialize the diff + write-notice targets into
-    // the unit's CoherenceLog; the cache agent replays and posts off the
-    // critical path. Shootdown (2LS) and write-doubling (1L) keep the
+    // Async release path: serialize the diff into the unit's
+    // CoherenceLog; the cache agent replays and posts off the critical
+    // path. Shootdown (2LS) and write-doubling (1L) keep the
     // synchronous path — their flush semantics are inherently tied to the
     // releasing processor.
     PublishCoherenceRecord(ctx, pl, page);
@@ -1096,9 +1185,15 @@ void CashmereProtocol::AgentApply(UnitId unit, const CoherenceRecord& rec,
     clock.Charge(stats, TimeCategory::kProtocol,
                  cfg_.costs.DiffOutNs(rec.words, rec.home_local));
   }
+  // The sharing set is read only now, after the replay, as the synchronous
+  // path reads it after its own: a unit that joined before the read gets a
+  // notice, and one that joined after it fetches an image holding the diff.
+  // Read at publish time instead, a unit joining in between would fetch the
+  // pre-diff master and get no notice.
+  const std::uint32_t targets = WriteNoticeTargets(unit, page);
   int sent = 0;
   for (int u = 0; u < cfg_.units(); ++u) {
-    if ((rec.wn_targets & (1u << u)) == 0) {
+    if ((targets & (1u << u)) == 0) {
       continue;
     }
     if (IsGlobalLock()) {
@@ -1385,12 +1480,14 @@ void CashmereProtocol::RelocateSuperpage(Context& ctx, std::size_t sp, UnitId ne
   for (PageId page = first; page < last; ++page) {
     PageLocal& opl = old_us.Page(page);
     SpinLockGuard old_guard(opl.lock);
-    // Quiesce the old home: downgrade its writers so future modifications
-    // are tracked like any non-home unit's.
+    // Quiesce the old home: unmap every local processor and drop the
+    // frame's validity. Its frame becomes an ordinary cached copy, but the
+    // directory does not list the old home as a sharer, so it would get no
+    // write notice for the new home's later writes (which may even run in
+    // exclusive mode) and would keep reading the stale frame. Its next
+    // access fetches from the new home instead.
     for (int li = 0; li < cfg_.procs_per_unit(); ++li) {
-      if (opl.PermOfLocal(li) == Perm::kReadWrite) {
-        ProtectLocal(ctx, opl, old_home, li, page, Perm::kRead);
-      }
+      ProtectLocal(ctx, opl, old_home, li, page, Perm::kInvalid);
     }
     // The old-home downgrades must be in hardware before the master copy
     // moves below: a writer left RW would dirty the old frame after it was
@@ -1421,9 +1518,7 @@ void CashmereProtocol::RelocateSuperpage(Context& ctx, std::size_t sp, UnitId ne
                 static_cast<std::uint32_t>(new_home),
                 static_cast<std::uint64_t>(old_home));
     }
-    // The old home's frame still holds the current data.
-    opl.ever_valid = true;
-    opl.update_ts.store(old_us.Tick(), std::memory_order_release);
+    opl.ever_valid = false;
     ctx.stats().Add(Counter::kHomeRelocations);
   }
   deps_.homes->Relocate(sp, new_home);

@@ -102,8 +102,8 @@ class CashmereProtocol : public RequestHandler {
 
   // Async release-path coherence: applies one published log record on the
   // cache-agent thread of `unit` — replays the record's serialized diff
-  // into the home node's master copy, posts the recorded write notices,
-  // and decrements the page's pending-flush count. The caller (the agent
+  // into the home node's master copy, then reads the sharing set and
+  // posts write notices to it, and decrements the page's pending-flush count. The caller (the agent
   // loop in Runtime::Run) advances `clock` to the record's publish time
   // first and calls CoherenceLog::PopApplied afterwards, in that order, so
   // a gated acquirer that observes the advanced applied_seq also observes
@@ -146,7 +146,19 @@ class CashmereProtocol : public RequestHandler {
   // write-notice-before-diff invariant.
   void ApplyIncoming(Context& ctx, PageLocal& pl, PageId page, const std::byte* image,
                      bool piggyback) CSM_REQUIRES(pl.lock);
-  void BreakRemoteExclusive(Context& ctx, PageLocal& pl, PageId page, UnitId holder)
+  // One home fetch; false (image discarded) when a local flush overlapped
+  // it, in which case the caller fetches again.
+  bool FetchFromHome(Context& ctx, PageLocal& pl, PageId page, UnitId home)
+      CSM_EXCLUDES(pl.lock);
+  // Returns the fetch's start timestamp, stamped under the page lock once
+  // no published-but-unapplied local diff is pending (async mode).
+  std::uint64_t StampFetchStart(Context& ctx, PageLocal& pl) CSM_EXCLUDES(pl.lock);
+  // Whether a local flush began after `fetch_start_ts`, so that the fetched
+  // image may lack it and must not be installed.
+  bool ImageMissesLocalFlush(const PageLocal& pl, std::uint64_t fetch_start_ts) const
+      CSM_REQUIRES(pl.lock);
+  // Returns whether the piggybacked image was installed.
+  bool BreakRemoteExclusive(Context& ctx, PageLocal& pl, PageId page, UnitId holder)
       CSM_EXCLUDES(pl.lock);
   void WaitFetchDone(Context& ctx, PageLocal& pl) CSM_EXCLUDES(pl.lock);
   std::uint64_t AwaitReply(Context& ctx, std::uint64_t seq);
@@ -166,14 +178,15 @@ class CashmereProtocol : public RequestHandler {
   void FlushPage(Context& ctx, PageLocal& pl, PageId page, std::uint64_t release_start,
                  bool barrier_arrival) CSM_EXCLUDES(pl.lock);
   void SendWriteNotices(Context& ctx, PageId page);
-  // Units (bitmask) a release of `page` must notify: the directory's
-  // sharing set minus master-sharing units. In async mode this is read at
-  // publish time, under the page lock — the same point of the release at
-  // which the synchronous path reads it — so the write-notice sets (and
-  // the kWriteNotices counters) are identical across modes.
-  std::uint32_t WriteNoticeTargets(Context& ctx, PageId page);
+  // Units (bitmask) a release of `page` by `releaser` must notify: the
+  // directory's sharing set minus master-sharing units. It must be read
+  // after the diff reaches the master copy: a unit joins the sharing set
+  // before it fetches, so it then either appears here or fetches an image
+  // that already holds the diff. The synchronous path reads it after its
+  // replay; in async mode the cache agent reads it after its replay.
+  std::uint32_t WriteNoticeTargets(UnitId releaser, PageId page);
   // Async release path (Config::async.release): serializes the page's
-  // outgoing diff and write-notice target set into the unit's CoherenceLog
+  // outgoing diff into the unit's CoherenceLog
   // instead of replaying synchronously, bumps the page's pending-flush
   // count, records the new sequence in ctx.seen_seq(), and charges only
   // the publish cost — the diff replay, bus occupancy, and write-notice

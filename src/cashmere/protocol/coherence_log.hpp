@@ -46,7 +46,6 @@ struct CoherenceRecord {
   std::uint32_t words = 0;      // diff payload words (drives DiffOutNs)
   std::uint32_t hdr_bytes = 0;  // accounted header bytes per run (0 or 8)
   std::uint64_t bus_bytes = 0;  // MC bus occupancy to reserve at apply
-  std::uint32_t wn_targets = 0; // unit bitmask to post write notices to
   bool has_diff = false;        // false: write-notice-only record
   bool home_local = false;      // home on the releasing unit (1L variants)
   DiffWireSlot slot;            // serialized diff image (used prefix valid)

@@ -72,6 +72,11 @@ struct PageLocal {
   // unit must stay in the page's sharing set so no other unit claims
   // exclusive mode over the pending flush.
   std::atomic<std::uint32_t> pending_flush{0};
+  // Sequence of the latest log record published for this page by this
+  // unit (async mode). A release that publishes nothing itself — its
+  // writes were covered by a local processor's earlier flush, or there was
+  // nothing to send — still makes its dependents wait for that record.
+  std::uint64_t last_publish_seq CSM_GUARDED_BY(lock) = 0;
   // Trace-only transition sequence: bumped (under the page lock) for every
   // traced per-page protocol transition, giving the replay invariant
   // checker a total order over one page's transitions that does not depend

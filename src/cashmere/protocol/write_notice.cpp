@@ -41,6 +41,9 @@ WriteNoticeBoard::WriteNoticeBoard(const Config& cfg, McHub& hub)
   for (int p = 0; p < cfg.total_procs(); ++p) {
     local_.emplace_back(pages);
   }
+  for (int u = 0; u < units_; ++u) {
+    draining_.emplace_back(0u);
+  }
 }
 
 void WriteNoticeBoard::PostGlobal(UnitId dst_unit, UnitId src_unit, PageId page) {
@@ -59,6 +62,18 @@ bool WriteNoticeBoard::GlobalPending(UnitId self) const {
     }
   }
   return false;
+}
+
+bool WriteNoticeBoard::NoticeInFlight(UnitId self, PageId page) const {
+  for (int src = 0; src < units_; ++src) {
+    if (src != self && GlobalBin(self, src).Pending(page)) {
+      return true;
+    }
+  }
+  // Read after the bits: a drain that cleared this page's bit before the
+  // reads above counted itself in first, and cannot finish (stamping this
+  // page needs the page lock the caller holds) until the caller lets go.
+  return draining_[static_cast<std::size_t>(self)].load(std::memory_order_seq_cst) != 0;
 }
 
 void WriteNoticeBoard::PostLocal(ProcId proc, PageId page) {

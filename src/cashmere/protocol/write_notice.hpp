@@ -79,6 +79,11 @@ class PageNoticeQueue {
     return tail_.load(std::memory_order_acquire) == head_.load(std::memory_order_acquire);
   }
 
+  // Whether a notice for `page` is queued and not yet drained.
+  bool Pending(PageId page) const {
+    return (bitmap_[page / 32].load(std::memory_order_acquire) & (1u << (page % 32))) != 0;
+  }
+
   SpinLock producer_lock;
 
  private:
@@ -110,6 +115,8 @@ class WriteNoticeBoard {
   // deduplicated notice. Caller distributes to the per-processor lists.
   template <typename Fn>
   int DrainGlobal(UnitId self, Fn&& fn) {
+    std::atomic<std::uint32_t>& draining = draining_[static_cast<std::size_t>(self)];
+    draining.fetch_add(1, std::memory_order_seq_cst);
     int n = 0;
     for (int src = 0; src < units_; ++src) {
       if (src == self) {
@@ -119,10 +126,15 @@ class WriteNoticeBoard {
       SpinLockGuard guard(consumer_locks_[static_cast<std::size_t>(self)].lock);
       n += bin.Drain(fn);
     }
+    draining.fetch_sub(1, std::memory_order_release);
     return n;
   }
 
   bool GlobalPending(UnitId self) const;
+  // Whether `self` may hold a notice for `page` that has not yet stamped
+  // the page's write-notice time: one is queued in a global bin, or a
+  // drain (which clears a notice's bit before it stamps) is under way.
+  bool NoticeInFlight(UnitId self, PageId page) const;
 
   // Second level: per-processor lists.
   void PostLocal(ProcId proc, PageId page);
@@ -172,6 +184,7 @@ class WriteNoticeBoard {
   std::deque<PageNoticeQueue> global_;  // [dst][src]
   std::deque<PageNoticeQueue> local_;   // [proc]
   std::vector<PaddedLock> consumer_locks_;
+  std::deque<std::atomic<std::uint32_t>> draining_;  // [unit] drains under way
 };
 
 }  // namespace cashmere

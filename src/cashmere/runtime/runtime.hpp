@@ -12,9 +12,11 @@
 #ifndef CASHMERE_RUNTIME_RUNTIME_HPP_
 #define CASHMERE_RUNTIME_RUNTIME_HPP_
 
+#include <condition_variable>
 #include <deque>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "cashmere/common/config.hpp"
@@ -154,6 +156,10 @@ class Runtime : public FaultSink {
   StatsReport report_;
   std::atomic<std::uint64_t> progress_{0};
   std::atomic<bool> running_{false};
+  // Run clears running_ under this mutex and notifies, so the watchdog's
+  // 200 ms sampling wait ends as soon as the run does.
+  std::mutex watchdog_mutex_;
+  std::condition_variable watchdog_wake_;
   bool ran_ = false;
 };
 

@@ -26,7 +26,6 @@ std::uint64_t PublishPage(CoherenceLog& log, PageId page, VirtTime vt,
         rec.publisher = 0;
         rec.publish_vt = vt;
         rec.has_diff = false;
-        rec.wn_targets = 0;
       },
       stalled);
 }

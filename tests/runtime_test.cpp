@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <vector>
 
@@ -32,6 +33,20 @@ TEST(RuntimeTest, AllocRespectsAlignment) {
   EXPECT_GE(b, a + 10);
   const GlobalAddr c = rt.heap().AllocPageAligned(10);
   EXPECT_EQ(c % kPageBytes, 0u);
+}
+
+// Run stops its watchdog as soon as the processors finish, instead of
+// after the watchdog's next 200 ms sample: 20 empty Runs take well under
+// one sample period each.
+TEST(RuntimeTest, BackToBackEmptyRunsReturnPromptly) {
+  Runtime rt(SmallConfig(ProtocolVariant::kTwoLevel, 2, 1));
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < 20; ++i) {
+    rt.Run([](Context&) {});
+  }
+  const double elapsed =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  EXPECT_LT(elapsed, 2.0);
 }
 
 TEST(RuntimeTest, CopyInCopyOutRoundTrip) {
