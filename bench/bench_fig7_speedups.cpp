@@ -31,23 +31,26 @@ void Run(const bench::BenchOptions& opt) {
     bench::PrintRule(9 + 9 * static_cast<int>(protocols.size()));
     for (const auto& shape : shapes) {
       std::printf("  %-7s", shape.Label().c_str());
+      bool row_verified = true;
       for (const auto& column : protocols) {
         const AppRunResult r = bench::RunExperiment(kind, column, shape, opt.size_class);
         bench::AppendCsv(opt.csv_path, kind, column.label, shape, r);
+        row_verified = row_verified && r.verified;
         if (r.verified) {
           std::printf("%9.2f", r.speedup);
         } else {
           std::printf("%8.2f!", r.speedup);
         }
       }
-      std::printf("\n");
+      std::printf("%s\n", bench::VerifiedTag(row_verified));
     }
   }
   std::printf(
       "\nReading: rows are the paper's P:ppn configurations; '!' marks an unverified\n"
-      "run. Compare shapes with the paper's Figure 7: two-level protocols win at\n"
-      "scale, most visibly for Gauss, Ilink, Em3d and Barnes; home-opt (+H) lifts\n"
-      "the one-level protocols where home-node locality dominates (Em3d).\n");
+      "run (the program then exits 1). Compare shapes with the paper's Figure 7:\n"
+      "two-level protocols win at scale, most visibly for Gauss, Ilink, Em3d and\n"
+      "Barnes; home-opt (+H) lifts the one-level protocols where home-node locality\n"
+      "dominates (Em3d).\n");
 }
 
 }  // namespace
@@ -56,5 +59,5 @@ void Run(const bench::BenchOptions& opt) {
 int main(int argc, char** argv) {
   const auto opt = cashmere::bench::BenchOptions::Parse(argc, argv);
   cashmere::Run(opt);
-  return 0;
+  return cashmere::bench::ExitStatus();
 }

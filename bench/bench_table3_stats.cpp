@@ -30,10 +30,12 @@ void PrintProtocolBlock(const bench::ProtocolColumn& column,
     std::printf("%10.4f", r.report.ExecTimeSec());
   }
   std::printf("\n%-26s", "Verified");
+  bool all_verified = true;
   for (const AppRunResult& r : results) {
     std::printf("%10s", r.verified ? "yes" : "NO");
+    all_verified = all_verified && r.verified;
   }
-  std::printf("\n");
+  std::printf("%s\n", bench::VerifiedTag(all_verified));
 
   const Row rows[] = {
       {"Lock/Flag Acquires (K)", Counter::kLockAcquires, 1000.0},
@@ -104,5 +106,5 @@ void Run(const bench::BenchOptions& opt) {
 int main(int argc, char** argv) {
   const auto opt = cashmere::bench::BenchOptions::Parse(argc, argv);
   cashmere::Run(opt);
-  return 0;
+  return cashmere::bench::ExitStatus();
 }

@@ -94,13 +94,22 @@ class MessageLayer {
   std::uint64_t heartbeat() const { return heartbeat_.load(std::memory_order_relaxed); }
 
  private:
+  // A [dst][src] bin holds at most one request per processor of `src`.
+  // Send has two callers (BreakRemoteExclusive, FetchFromHome), and each
+  // waits in AwaitReply for its request's reply before it returns; the
+  // responder dequeues a request before handling it, and HandleRequest
+  // never sends. So a processor has at most one request in flight, and a
+  // unit has at most kMaxProcsPerNode processors. Send still waits for
+  // space, so a broken bound stalls and never overwrites a request.
   struct Bin {
     SpinLock producer_lock;
-    static constexpr std::size_t kCapacity = 1024;
+    static constexpr std::size_t kCapacity = kMaxProcsPerNode;
     std::atomic<std::uint64_t> head{0};  // next slot to fill
     std::atomic<std::uint64_t> tail{0};  // next slot to drain
     Request ring[kCapacity];
   };
+  static_assert(Bin::kCapacity >= static_cast<std::size_t>(kMaxProcsPerNode),
+                "a bin must hold one outstanding request per source processor");
   struct alignas(64) PaddedAtomicInt {
     std::atomic<int> v{0};
   };

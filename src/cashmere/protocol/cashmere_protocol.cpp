@@ -1454,10 +1454,10 @@ void CashmereProtocol::MaybeFirstTouch(Context& ctx, PageId page) {
     const PageId first = static_cast<PageId>(sp * deps_.homes->superpage_pages());
     const PageId last = static_cast<PageId>(
         std::min<std::size_t>((sp + 1) * deps_.homes->superpage_pages(), cfg_.pages()));
-    for (PageId page = first; page < last && !any_exclusive; ++page) {
+    for (PageId p = first; p < last && !any_exclusive; ++p) {
       // Authoritative: relocating under a missed exclusive holder would
       // copy a stale master frame.
-      any_exclusive = deps_.dir->ExclusiveHolderFresh(page, ctx.unit()) >= 0;
+      any_exclusive = deps_.dir->ExclusiveHolderFresh(p, ctx.unit()) >= 0;
     }
     if (!any_exclusive) {
       RelocateSuperpage(ctx, sp, ctx.unit());

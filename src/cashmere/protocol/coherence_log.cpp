@@ -1,5 +1,12 @@
 #include "cashmere/protocol/coherence_log.hpp"
 
+#include <sys/mman.h>
+
+#include <new>
+#include <type_traits>
+
+#include "cashmere/common/logging.hpp"
+
 namespace cashmere {
 
 namespace {
@@ -10,11 +17,28 @@ std::uint32_t ClampEntries(std::uint32_t entries) {
 
 }  // namespace
 
+// The destructor unmaps the ring without running record destructors.
+static_assert(std::is_trivially_destructible_v<CoherenceRecord>);
+
 CoherenceLog::CoherenceLog(std::uint32_t entries)
-    : ring_(ClampEntries(entries)),
+    : entries_(ClampEntries(entries)),
+      ring_bytes_((entries_ * sizeof(CoherenceRecord) + kPageBytes - 1) / kPageBytes *
+                  kPageBytes),
       // 4x the record ring: gate slots only hold {seq, vt}, and the larger
       // ring keeps apply times findable well after the record slot recycles.
-      gate_(static_cast<std::size_t>(ClampEntries(entries)) * 4) {}
+      gate_(entries_ * 4) {
+  // Not a std::vector: value-initialization would zero every record's
+  // 16 KB wire image up front, though most publishes write a few KB of it.
+  void* p = mmap(nullptr, ring_bytes_, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS,
+                 -1, 0);
+  CSM_CHECK(p != MAP_FAILED);
+  ring_ = static_cast<CoherenceRecord*>(p);
+  for (std::size_t i = 0; i < entries_; ++i) {
+    new (&ring_[i]) CoherenceRecord;  // default-init: the wire bytes stay untouched
+  }
+}
+
+CoherenceLog::~CoherenceLog() { munmap(ring_, ring_bytes_); }
 
 CoherenceEngine::CoherenceEngine(const Config& cfg) {
   const std::uint32_t entries = ClampEntries(cfg.async.log_entries);

@@ -57,13 +57,18 @@ struct CoherenceRecord {
 // with sequence s lives in slot (s - 1) % capacity and is reusable once
 // applied_seq >= s, i.e. the ring is full while
 // published_seq - applied_seq == capacity.
+//
+// The records live in a page-granular anonymous mapping and are
+// default-initialized, so construction touches only each record's header
+// page; a slot's wire pages are faulted in when a publish first writes them.
 class CoherenceLog {
  public:
   explicit CoherenceLog(std::uint32_t entries);
+  ~CoherenceLog();
   CoherenceLog(const CoherenceLog&) = delete;
   CoherenceLog& operator=(const CoherenceLog&) = delete;
 
-  std::uint32_t capacity() const { return static_cast<std::uint32_t>(ring_.size()); }
+  std::uint32_t capacity() const { return static_cast<std::uint32_t>(entries_); }
 
   // Producer side. Claims the next slot (spinning via Backoff while the
   // ring is full), invokes fill(record) to populate it in place, assigns
@@ -74,16 +79,16 @@ class CoherenceLog {
   std::uint64_t Publish(Filler&& fill, bool* stalled) {
     SpinLockGuard guard(producer_lock_);
     const std::uint64_t seq = published_seq_.load(std::memory_order_relaxed) + 1;
-    if (seq - applied_seq_.load(std::memory_order_acquire) > ring_.size()) {
+    if (seq - applied_seq_.load(std::memory_order_acquire) > entries_) {
       if (stalled != nullptr) {
         *stalled = true;
       }
       Backoff backoff;
-      while (seq - applied_seq_.load(std::memory_order_acquire) > ring_.size()) {
+      while (seq - applied_seq_.load(std::memory_order_acquire) > entries_) {
         backoff.Pause();
       }
     }
-    CoherenceRecord& rec = ring_[static_cast<std::size_t>((seq - 1) % ring_.size())];
+    CoherenceRecord& rec = ring_[static_cast<std::size_t>((seq - 1) % entries_)];
     fill(rec);
     rec.seq = seq;
     published_seq_.store(seq, std::memory_order_release);
@@ -94,7 +99,7 @@ class CoherenceLog {
   bool Full() const {
     return published_seq_.load(std::memory_order_acquire) -
                applied_seq_.load(std::memory_order_acquire) >=
-           ring_.size();
+           entries_;
   }
 
   // Consumer side (single drainer). Peek returns the oldest unapplied
@@ -106,7 +111,7 @@ class CoherenceLog {
     if (published_seq_.load(std::memory_order_acquire) == applied) {
       return nullptr;
     }
-    return &ring_[static_cast<std::size_t>(applied % ring_.size())];
+    return &ring_[static_cast<std::size_t>(applied % entries_)];
   }
   void PopApplied(VirtTime applied_vt) {
     const std::uint64_t seq = applied_seq_.load(std::memory_order_relaxed) + 1;
@@ -152,7 +157,9 @@ class CoherenceLog {
   SpinLock producer_lock_;
   std::atomic<std::uint64_t> published_seq_{0};
   std::atomic<std::uint64_t> applied_seq_{0};
-  std::vector<CoherenceRecord> ring_;
+  const std::size_t entries_;
+  const std::size_t ring_bytes_;  // mapping length, a whole number of pages
+  CoherenceRecord* ring_;
   std::vector<GateSlot> gate_;
 };
 

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -96,6 +98,52 @@ TEST(MessageLayerTest, RequestsFromMultipleSourcesAllArrive) {
   }
   EXPECT_EQ(handled, 6);
   EXPECT_EQ(handler.Take().size(), 6u);
+}
+
+// The bins are sized to one outstanding request per source processor: a
+// requester waits for its reply before it sends again. Every processor of
+// one unit sending to the same destination before anyone polls is the
+// fullest a bin can get, and no Send may wait for space.
+TEST(MessageLayerTest, FullSourceUnitFitsOneBinWithoutBlocking) {
+  Config cfg = MsgConfig(2, kMaxProcsPerNode);
+  ASSERT_EQ(cfg.procs_per_unit(), kMaxProcsPerNode);
+  MessageLayer msg(cfg);
+  RecordingHandler handler;
+  msg.set_handler(&handler);
+  std::atomic<int> sent{0};
+  std::vector<std::thread> senders;
+  for (ProcId p = 0; p < kMaxProcsPerNode; ++p) {  // all of unit 0 -> unit 1
+    senders.emplace_back([&, p] {
+      Request request;
+      request.page = static_cast<PageId>(p);
+      msg.Send(p, 1, request);
+      sent.fetch_add(1);
+    });
+  }
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (sent.load() < kMaxProcsPerNode && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  const int sent_before_poll = sent.load();
+  int handled = 0;
+  while (sent.load() < kMaxProcsPerNode || msg.HasPending(1)) {
+    handled += msg.Poll(1);  // frees any sender stuck on a full bin
+  }
+  for (auto& t : senders) {
+    t.join();
+  }
+  EXPECT_EQ(sent_before_poll, kMaxProcsPerNode);
+  EXPECT_EQ(handled, kMaxProcsPerNode);
+  std::vector<bool> seen(kMaxProcsPerNode, false);
+  for (const Request& r : handler.Take()) {
+    ASSERT_GE(r.from_proc, 0);
+    ASSERT_LT(r.from_proc, kMaxProcsPerNode);
+    EXPECT_EQ(r.page, static_cast<PageId>(r.from_proc));
+    seen[static_cast<std::size_t>(r.from_proc)] = true;
+  }
+  for (bool s : seen) {
+    EXPECT_TRUE(s);
+  }
 }
 
 TEST(MessageLayerTest, ConcurrentSendersDoNotLoseRequests) {

@@ -4,7 +4,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <fstream>
+#include <memory>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "cashmere/runtime/runtime.hpp"
@@ -22,6 +25,50 @@ Config SmallConfig(ProtocolVariant v, int nodes, int ppn) {
   cfg.cost.time_scale = 10.0;  // fixed: keep tests deterministic-ish and fast
   cfg.first_touch = false;
   return cfg;
+}
+
+// Anonymous resident memory of this process in KiB (RssAnon in
+// /proc/self/status), or -1 where the kernel does not report it.
+long RssAnonKb() {
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("RssAnon:", 0) == 0) {
+      return std::stol(line.substr(8));
+    }
+  }
+  return -1;
+}
+
+// Anonymous memory a 32:4 Runtime with a Gauss bench-size heap (40 pages)
+// makes resident by construction alone. Per-run rings are sized to their
+// protocol bounds and left untouched until used, so this stays a few MB.
+long ConstructionFootprintKb(ProtocolVariant v) {
+  Config cfg;
+  cfg.protocol = v;
+  cfg.nodes = 8;
+  cfg.procs_per_node = 4;
+  cfg.heap_bytes = 40 * kPageBytes;
+  const long before = RssAnonKb();
+  auto rt = std::make_unique<Runtime>(cfg);
+  const long after = RssAnonKb();
+  return before < 0 || after < 0 ? -1 : after - before;
+}
+
+TEST(RuntimeTest, OneLevelConstructionFootprintIsSmall) {
+  const long kb = ConstructionFootprintKb(ProtocolVariant::kOneLevelDiff);
+  if (kb < 0) {
+    GTEST_SKIP() << "RssAnon not reported";
+  }
+  EXPECT_LT(kb, 8 * 1024);
+}
+
+TEST(RuntimeTest, TwoLevelConstructionFootprintIsSmall) {
+  const long kb = ConstructionFootprintKb(ProtocolVariant::kTwoLevel);
+  if (kb < 0) {
+    GTEST_SKIP() << "RssAnon not reported";
+  }
+  EXPECT_LT(kb, 8 * 1024);
 }
 
 TEST(RuntimeTest, AllocRespectsAlignment) {

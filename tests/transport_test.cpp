@@ -45,8 +45,8 @@ class TransportTest : public ::testing::TestWithParam<Backend> {
 
 INSTANTIATE_TEST_SUITE_P(Backends, TransportTest,
                          ::testing::Values(Backend::kInProc, Backend::kShmSolo),
-                         [](const ::testing::TestParamInfo<Backend>& info) {
-                           return info.param == Backend::kInProc ? "inproc" : "shm_solo";
+                         [](const ::testing::TestParamInfo<Backend>& param_info) {
+                           return param_info.param == Backend::kInProc ? "inproc" : "shm_solo";
                          });
 
 TEST_P(TransportTest, WordWriteStores) {
